@@ -55,7 +55,7 @@ int emit_trace(const char* path) {
   opt.concurrency = 3;
   exec::RunExecutor pool{{.threads = 2}};
   util::Rng rng{11};
-  const auto oracle = [](double target_ghz, std::uint64_t seed) {
+  const auto oracle = [](double target_ghz, std::uint64_t seed, exec::RunContext&) {
     util::Rng r{seed};
     flow::FlowResult res;
     res.completed = true;

@@ -44,10 +44,10 @@ std::uint64_t counter(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
-/// The synthetic feasibility-cliff oracle of perf_store_cache, lifted to the
-/// resilient signature: chaos is decided at site "oracle" purely from the
-/// attempt seed, so every campaign replays exactly.
-core::ResilientOracle chaos_cliff(double max_ghz) {
+/// The synthetic feasibility-cliff oracle of perf_store_cache with injected
+/// chaos: faults are decided at site "oracle" purely from the attempt seed,
+/// so every campaign replays exactly.
+core::FlowOracle chaos_cliff(double max_ghz) {
   return [max_ghz](double target_ghz, std::uint64_t seed, exec::RunContext& ctx) {
     switch (resil::FaultInjector::decide("oracle", seed)) {
       case resil::FaultKind::Crash:
@@ -103,7 +103,7 @@ CampaignStats run_campaign(const core::MabOptions& opt, double fault_rate,
   try {
     exec::RunExecutor pool{{.threads = threads}};
     util::Rng rng{2018};
-    stats.result = core::MabScheduler{opt}.run_resilient(chaos_cliff(1.6), rng, pool);
+    stats.result = core::MabScheduler{opt}.run(chaos_cliff(1.6), rng, pool);
     stats.completed = stats.result.total_runs == opt.iterations * opt.concurrency;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "campaign at %.0f%% faults threw: %s\n", fault_rate * 100.0,
@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
     exec::RunExecutor pool{{.threads = 2}};
     resil::ResilOptions ropt;
     ropt.deadline_ms = 25.0;
-    auto fut = pool.submit_resilient(
+    auto fut = pool.submit(
         "bench_overdue", 1,
         [](exec::RunContext& ctx) -> int {
           for (int i = 0; i < 10000 && !ctx.should_stop(); ++i) {
@@ -195,7 +195,7 @@ int main(int argc, char** argv) {
           }
           return 1;
         },
-        ropt);
+        {.resilience = ropt});
     try {
       (void)fut.get();
     } catch (const resil::RunTimedOut&) {

@@ -82,7 +82,7 @@ store::StoredRun make_run(std::uint64_t n) {
 
 /// Same synthetic cliff oracle as the MAB tests: pure in (target_ghz, seed).
 core::FlowOracle cliff_oracle(double max_ghz) {
-  return [max_ghz](double target_ghz, std::uint64_t seed) {
+  return [max_ghz](double target_ghz, std::uint64_t seed, exec::RunContext&) {
     util::Rng rng{seed};
     flow::FlowResult res;
     res.completed = true;

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -205,9 +206,13 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
 
   // One round of N concurrent robot runs. `prepare(th, i)` mutates thread
   // trajectories serially (it consumes the shared Rng), seed draws follow in
-  // the same fixed order, then the flow runs execute — in parallel when a
-  // pool is configured. The fold back into best-so-far is serial and in
-  // thread order, so parallel and serial execution are bitwise identical.
+  // the same fixed order, then the flow runs execute on the pool — a private
+  // single-worker one when no executor is configured. The fold back into
+  // best-so-far is serial and in thread order, so the result is bitwise
+  // identical at any pool size.
+  std::optional<exec::RunExecutor> own_pool;
+  exec::RunExecutor& pool =
+      options_.executor ? *options_.executor : own_pool.emplace(exec::ExecOptions{.threads = 1});
   std::size_t round_index = rounds_done;
   // The content-addressed key of one member's run: the campaign's fixed
   // context plus the flattened trajectory knobs and the round's seed draw.
@@ -229,58 +234,32 @@ FlowSearchResult FlowTreeSearch::run(const TrajectoryOracle& oracle, util::Rng& 
       prepare(population[i], i);
       seeds[i] = rng.next();
     }
+    std::vector<std::future<flow::FlowResult>> futures;
+    futures.reserve(population.size());
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      std::optional<store::KeyedRunCache> memo;
+      if (options_.cache) {
+        memo.emplace(*options_.cache, key_for(population[i].trajectory, seeds[i]));
+      }
+      futures.push_back(pool.submit(
+          "flow_search#" + std::to_string(res.flow_runs + i), seeds[i],
+          [&oracle, &t = population[i].trajectory, seed = seeds[i]](exec::RunContext&) {
+            return oracle(t, seed);
+          },
+          {}, std::move(memo)));
+    }
     std::vector<flow::FlowResult> results(population.size());
-    if (options_.executor) {
-      std::vector<std::future<flow::FlowResult>> futures;
-      futures.reserve(population.size());
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        const std::string label = "flow_search#" + std::to_string(res.flow_runs + i);
-        auto body = [&oracle, &t = population[i].trajectory, seed = seeds[i]](exec::RunContext&) {
-          return oracle(t, seed);
-        };
-        if (options_.cache) {
-          store::KeyedRunCache keyed{*options_.cache,
-                                     key_for(population[i].trajectory, seeds[i])};
-          futures.push_back(options_.executor->submit_memo(label, seeds[i],
-                                                           keyed.fingerprint(), keyed,
-                                                           std::move(body)));
-        } else {
-          futures.push_back(options_.executor->submit(label, seeds[i], std::move(body)));
-        }
-      }
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          results[i] = futures[i].get();
-        } catch (const std::exception& e) {
-          // Dead branch: the run crashed (past any retry budget). Keep the
-          // thread alive with an incomplete result — qor_cost charges the
-          // incomplete penalty, so GWTW resampling clones winners over it
-          // and multistart simply re-rolls it next round.
-          obs::Registry::global().counter("sched.search_dead_branches").add();
-          results[i] = flow::FlowResult{};
-          results[i].failed_step = std::string("crashed: ") + e.what();
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < population.size(); ++i) {
-        try {
-          if (options_.cache) {
-            const store::RunKey key = key_for(population[i].trajectory, seeds[i]);
-            const std::uint64_t fp = key.fingerprint();
-            if (auto hit = options_.cache->lookup(fp)) {
-              results[i] = std::move(*hit);
-              continue;
-            }
-            results[i] = oracle(population[i].trajectory, seeds[i]);
-            options_.cache->insert(fp, key, results[i]);
-          } else {
-            results[i] = oracle(population[i].trajectory, seeds[i]);
-          }
-        } catch (const std::exception& e) {
-          obs::Registry::global().counter("sched.search_dead_branches").add();
-          results[i] = flow::FlowResult{};
-          results[i].failed_step = std::string("crashed: ") + e.what();
-        }
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      try {
+        results[i] = futures[i].get();
+      } catch (const std::exception& e) {
+        // Dead branch: the run crashed (past any retry budget). Keep the
+        // thread alive with an incomplete result — qor_cost charges the
+        // incomplete penalty, so GWTW resampling clones winners over it
+        // and multistart simply re-rolls it next round.
+        obs::Registry::global().counter("sched.search_dead_branches").add();
+        results[i] = flow::FlowResult{};
+        results[i].failed_step = std::string("crashed: ") + e.what();
       }
     }
     for (std::size_t i = 0; i < population.size(); ++i) {

@@ -50,8 +50,9 @@ struct FlowSearchOptions {
   std::size_t mutations_per_round = 2;  ///< knobs flipped when advancing
   QorWeights weights;
   /// Optional pool: each round's population of flow runs executes in
-  /// parallel. Trajectory mutation and seed draws stay serial, so results
-  /// are bitwise identical to the serial path (nullptr) for a given seed.
+  /// parallel on it. Without one, run() dispatches through a private
+  /// single-worker pool. Trajectory mutation and seed draws stay serial, so
+  /// results are bitwise identical at any pool size for a given seed.
   exec::RunExecutor* executor = nullptr;
 
   /// Optional content-addressed memoization: each run's key is `cache_key`

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
@@ -37,6 +38,9 @@ struct MabCampaignState {
   std::vector<double> best_per_iteration;
   std::vector<ArmAgg> agg;
   std::vector<ml::ArmStats> policy;
+  /// Empty when restored from a checkpoint written before the breaker was
+  /// checkpointed: the campaign resumes with a fresh breaker.
+  std::vector<resil::CircuitBreaker::ArmState> breaker;
   util::Json rng_state;
 };
 
@@ -87,6 +91,14 @@ util::Json mab_state_json(const MabCampaignState& st, const MabOptions& opt) {
     policy.push_back(util::Json{std::move(po)});
   }
   o["policy"] = util::Json{std::move(policy)};
+  util::JsonArray breaker;
+  for (const auto& b : st.breaker) {
+    util::JsonObject bo;
+    bo["fail"] = util::Json{b.consecutive_failures};
+    bo["cool"] = util::Json{b.cooldown_left};
+    breaker.push_back(util::Json{std::move(bo)});
+  }
+  o["breaker"] = util::Json{std::move(breaker)};
   return util::Json{std::move(o)};
 }
 
@@ -136,6 +148,15 @@ std::optional<MabCampaignState> mab_state_from_json(const util::Json& j,
     stats.reward_sq_sum = p.at("rsq").as_number();
     st.policy.push_back(stats);
   }
+  for (const auto& b : j.at("breaker").as_array()) {  // absent: fresh breaker
+    resil::CircuitBreaker::ArmState arm;
+    arm.consecutive_failures = static_cast<int>(b.at("fail").as_number());
+    arm.cooldown_left = static_cast<int>(b.at("cool").as_number());
+    st.breaker.push_back(arm);
+  }
+  if (!st.breaker.empty() && st.breaker.size() != opt.frequency_arms_ghz.size()) {
+    return std::nullopt;
+  }
   if (st.agg.size() != opt.frequency_arms_ghz.size()) return std::nullopt;
   if (st.policy.size() != opt.frequency_arms_ghz.size()) return std::nullopt;
   return st;
@@ -156,20 +177,6 @@ const char* to_string(MabAlgorithm a) {
 FlowOracle make_flow_oracle(const flow::FlowManager& manager, const flow::DesignSpec& design,
                             const flow::FlowTrajectory& knobs,
                             const flow::FlowConstraints& constraints) {
-  return [&manager, design, knobs, constraints](double target_ghz, std::uint64_t seed) {
-    flow::FlowRecipe recipe;
-    recipe.design = design;
-    recipe.target_ghz = target_ghz;
-    recipe.knobs = knobs;
-    recipe.seed = seed;
-    return manager.run(recipe, constraints);
-  };
-}
-
-ResilientOracle make_resilient_flow_oracle(const flow::FlowManager& manager,
-                                           const flow::DesignSpec& design,
-                                           const flow::FlowTrajectory& knobs,
-                                           const flow::FlowConstraints& constraints) {
   return [&manager, design, knobs, constraints](double target_ghz, std::uint64_t seed,
                                                 exec::RunContext& ctx) {
     flow::FlowRecipe recipe;
@@ -230,6 +237,7 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
       .arg("iterations", static_cast<double>(options_.iterations));
 
   std::vector<ArmAgg> agg(arms.size());
+  resil::CircuitBreaker breaker(arms.size(), options_.breaker);
 
   double best = 0.0;
   std::uint64_t base_seed = 0;
@@ -237,11 +245,12 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
   std::size_t start_iteration = 0;
   const std::string state_key = "mab:" + options_.campaign_id;
 
-  // Resume: restore posteriors, aggregates, the sampled trajectory and the
-  // RNG from the last persisted iteration. The restored stream is bitwise
-  // identical to the uninterrupted campaign (tests/test_store.cpp asserts
-  // equality sample-by-sample); a checkpoint written under different
-  // options is ignored and the campaign starts fresh.
+  // Resume: restore posteriors, aggregates, the breaker, the sampled
+  // trajectory and the RNG from the last persisted iteration. The restored
+  // stream is bitwise identical to the uninterrupted campaign
+  // (tests/test_store.cpp and tests/test_resil.cpp assert equality
+  // sample-by-sample); a checkpoint written under different options is
+  // ignored and the campaign starts fresh.
   bool resumed = false;
   if (options_.checkpoint) {
     if (const auto saved = options_.checkpoint->get_state(state_key)) {
@@ -259,6 +268,7 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
         }
         agg = std::move(st->agg);
         policy->restore_stats(st->policy);
+        if (!st->breaker.empty()) breaker.restore(std::move(st->breaker));
         store::rng_state_from_json(rng, st->rng_state);
         resumed = true;
         obs::Registry::global().counter("store.campaign_resumed").add();
@@ -279,6 +289,7 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
     st.best_per_iteration = res.best_per_iteration;
     st.agg = agg;
     st.policy = policy->export_stats();
+    st.breaker = breaker.arm_states();
     st.rng_state = store::rng_state_to_json(rng);
     options_.checkpoint->put_state(state_key, mab_state_json(st, options_));
   };
@@ -286,142 +297,6 @@ MabRunResult MabScheduler::run(const FlowOracle& oracle, util::Rng& rng,
   for (std::size_t it = start_iteration; it < options_.iterations; ++it) {
     // The iteration span covers arm selection, the parallel batch and the
     // barrier — where the batch stalls on licenses shows up as its tail.
-    obs::Span it_span("mab_iter", "sched");
-    it_span.arg("iteration", static_cast<double>(it));
-
-    // Serial: arm selection consumes the shared Rng in a fixed order.
-    std::vector<std::size_t> chosen;
-    chosen.reserve(options_.concurrency);
-    for (std::size_t b = 0; b < options_.concurrency; ++b) chosen.push_back(policy->select(rng));
-    obs::Registry::global().counter("sched.mab_pulls").add(chosen.size());
-
-    // Parallel: the iteration's B concurrent tool runs (Fig. 7's "5
-    // concurrent samples"). Seeds depend only on (base_seed, run_index), so
-    // the trajectory is bitwise identical at any pool size.
-    std::vector<std::future<flow::FlowResult>> futures;
-    futures.reserve(chosen.size());
-    for (std::size_t b = 0; b < chosen.size(); ++b) {
-      const double freq = arms[chosen[b]];
-      const std::uint64_t seed = exec::derive_run_seed(base_seed, run_index + b);
-      const std::string label = "mab#" + std::to_string(run_index + b);
-      auto body = [&oracle, freq, seed](exec::RunContext&) { return oracle(freq, seed); };
-      if (options_.cache) {
-        // Content-addressed dispatch: the key is the campaign's fixed
-        // context plus this run's (frequency, seed); a repeated campaign
-        // against the same store answers from the cache.
-        store::RunKey key = options_.cache_key;
-        key.set("target_ghz", freq);
-        key.seed = seed;
-        store::KeyedRunCache keyed{*options_.cache, std::move(key)};
-        futures.push_back(
-            pool.submit_memo(label, seed, keyed.fingerprint(), keyed, std::move(body)));
-      } else {
-        futures.push_back(pool.submit(label, seed, std::move(body)));
-      }
-    }
-    run_index += chosen.size();
-
-    // Barrier, then serial: observe rewards and update the policy in
-    // submission order — exactly the serial schedule.
-    for (std::size_t b = 0; b < chosen.size(); ++b) {
-      const std::size_t arm = chosen[b];
-      const double freq = arms[arm];
-      flow::FlowResult fr;
-      bool observed = true;
-      try {
-        fr = futures[b].get();
-      } catch (const std::exception&) {
-        // The run died (injected crash, timeout, ...) and produced no
-        // observation. Censor the pull: no posterior or aggregate update —
-        // updating with reward 0 would conflate "crashed" with "infeasible"
-        // and poison the policy — just record the gap in the trajectory.
-        observed = false;
-      }
-      if (!observed) {
-        obs::Registry::global().counter("sched.censored_runs").add();
-        MabSample s;
-        s.iteration = it;
-        s.frequency_ghz = freq;
-        s.censored = true;
-        res.samples.push_back(s);
-        ++res.total_runs;
-        ++res.censored_runs;
-        continue;
-      }
-      // Reward: achieved (target) frequency when the run succeeds under its
-      // constraints, else zero. Bounded, scale-free in GHz.
-      const double reward = fr.success() ? freq : 0.0;
-      policy->update(arm, reward);
-      ArmAgg& a = agg[arm];
-      ++a.pulls;
-      a.reward_sum += reward;
-
-      MabSample s;
-      s.iteration = it;
-      s.frequency_ghz = freq;
-      s.success = fr.success();
-      s.reward = reward;
-      res.samples.push_back(s);
-      ++res.total_runs;
-      if (fr.success()) {
-        ++a.successes;
-        ++res.successful_runs;
-        best = std::max(best, freq);
-      }
-    }
-    res.best_per_iteration.push_back(best);
-    it_span.arg("best_feasible_ghz", best);
-    save_checkpoint(it + 1);
-  }
-  res.best_feasible_ghz = best;
-  run_span.arg("best_feasible_ghz", best)
-      .arg("total_runs", static_cast<double>(res.total_runs));
-
-  // Regret vs. the best *feasible* arm discovered over the whole corpus:
-  // mu* is the highest empirical mean reward among arms with at least one
-  // successful run (mean reward = frequency x empirical success rate). Each
-  // pull is charged mu* minus the reward it actually obtained. A campaign
-  // that never found a feasible arm has zero regret — nothing better was
-  // discoverable.
-  double best_feasible_mean = 0.0;
-  for (const auto& a : agg) {
-    if (a.successes > 0) {
-      best_feasible_mean =
-          std::max(best_feasible_mean, a.reward_sum / static_cast<double>(a.pulls));
-    }
-  }
-  double regret = 0.0;
-  for (const auto& s : res.samples) {
-    if (!s.censored) regret += best_feasible_mean - s.reward;
-  }
-  res.total_regret = std::max(regret, 0.0);
-  return res;
-}
-
-MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng) const {
-  exec::RunExecutor pool;
-  return run_resilient(oracle, rng, pool);
-}
-
-MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rng& rng,
-                                         exec::RunExecutor& pool) const {
-  MabRunResult res;
-  auto policy = make_policy();
-  const auto& arms = options_.frequency_arms_ghz;
-
-  obs::Span run_span("mab_run_resilient", "sched");
-  run_span.arg("algorithm", to_string(options_.algorithm))
-      .arg("arms", static_cast<double>(arms.size()))
-      .arg("iterations", static_cast<double>(options_.iterations));
-
-  std::vector<ArmAgg> agg(arms.size());
-  resil::CircuitBreaker breaker(arms.size(), options_.breaker);
-
-  double best = 0.0;
-  const std::uint64_t base_seed = rng.next();
-  std::uint64_t run_index = 0;
-
-  for (std::size_t it = 0; it < options_.iterations; ++it) {
     obs::Span it_span("mab_iter", "sched");
     it_span.arg("iteration", static_cast<double>(it));
 
@@ -443,27 +318,34 @@ MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rn
     }
     obs::Registry::global().counter("sched.mab_pulls").add(chosen.size());
 
-    // Parallel: every pull goes through submit_resilient — retries with
-    // perturbed seeds, optional hedging, per-run deadline. Submission seeds
-    // still derive from (base_seed, run_index), and hedge twins share their
-    // attempt's seed, so the trajectory stays bitwise identical at any pool
-    // size even under injected faults.
+    // Parallel: the iteration's B concurrent tool runs (Fig. 7's "5
+    // concurrent samples"). Submission seeds depend only on (base_seed,
+    // run_index), retries derive theirs from the submission seed and hedge
+    // twins share their attempt's seed, so the trajectory is bitwise
+    // identical at any pool size, under injected faults too. With a cache,
+    // a run's key is the campaign's fixed context plus its (frequency,
+    // seed), so a repeated campaign against the same store answers from it.
     std::vector<std::future<flow::FlowResult>> futures;
     futures.reserve(chosen.size());
     for (std::size_t b = 0; b < chosen.size(); ++b) {
       const double freq = arms[chosen[b]];
       const std::uint64_t seed = exec::derive_run_seed(base_seed, run_index + b);
-      const std::string label = "mab#" + std::to_string(run_index + b);
-      futures.push_back(pool.submit_resilient(
-          label, seed,
+      std::optional<store::KeyedRunCache> memo;
+      if (options_.cache) {
+        store::RunKey key = options_.cache_key;
+        key.set("target_ghz", freq);
+        key.seed = seed;
+        memo.emplace(*options_.cache, std::move(key));
+      }
+      futures.push_back(pool.submit(
+          "mab#" + std::to_string(run_index + b), seed,
           [&oracle, freq](exec::RunContext& ctx) { return oracle(freq, ctx.seed, ctx); },
-          options_.resilience));
+          exec::SubmitOptions{{}, options_.resilience}, std::move(memo)));
     }
     run_index += chosen.size();
 
-    // Barrier, then serial: observe in submission order. A pull that died
-    // after exhausting its retry budget is censored — the posterior is left
-    // untouched and the breaker records the hard failure.
+    // Barrier, then serial: observe rewards and update the policy in
+    // submission order — exactly the serial schedule.
     for (std::size_t b = 0; b < chosen.size(); ++b) {
       const std::size_t arm = chosen[b];
       const double freq = arms[arm];
@@ -472,6 +354,11 @@ MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rn
       try {
         fr = futures[b].get();
       } catch (const std::exception&) {
+        // The run died (injected crash, timeout, exhausted retries, ...)
+        // and produced no observation. Censor the pull: no posterior or
+        // aggregate update — updating with reward 0 would conflate
+        // "crashed" with "infeasible" and poison the policy — just record
+        // the gap in the trajectory and feed the breaker.
         observed = false;
       }
       if (!observed) {
@@ -487,6 +374,8 @@ MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rn
         continue;
       }
       breaker.record_success(arm);
+      // Reward: achieved (target) frequency when the run succeeds under its
+      // constraints, else zero. Bounded, scale-free in GHz.
       const double reward = fr.success() ? freq : 0.0;
       policy->update(arm, reward);
       ArmAgg& a = agg[arm];
@@ -509,12 +398,19 @@ MabRunResult MabScheduler::run_resilient(const ResilientOracle& oracle, util::Rn
     breaker.advance_round();
     res.best_per_iteration.push_back(best);
     it_span.arg("best_feasible_ghz", best);
+    save_checkpoint(it + 1);
   }
   res.best_feasible_ghz = best;
   run_span.arg("best_feasible_ghz", best)
       .arg("total_runs", static_cast<double>(res.total_runs))
       .arg("censored_runs", static_cast<double>(res.censored_runs));
 
+  // Regret vs. the best *feasible* arm discovered over the whole corpus:
+  // mu* is the highest empirical mean reward among arms with at least one
+  // successful run (mean reward = frequency x empirical success rate). Each
+  // pull is charged mu* minus the reward it actually obtained. A campaign
+  // that never found a feasible arm has zero regret — nothing better was
+  // discoverable.
   double best_feasible_mean = 0.0;
   for (const auto& a : agg) {
     if (a.successes > 0) {

@@ -137,7 +137,7 @@ std::vector<RobotOutcome> RobotEngineer::run_fleet(std::vector<FleetTask> tasks,
           util::Rng rng{task_seed};
           return execute(task.recipe, task.constraints, rng);
         },
-        token));
+        {token}));
   }
   std::vector<RobotOutcome> outcomes;
   outcomes.reserve(futures.size());

@@ -18,19 +18,22 @@
 // seeds derive purely from (base seed, attempt) and a hedged twin shares
 // its attempt's seed, so the winning value is the same whichever twin wins.
 //
-// Cancellation: every run carries a CancelToken. Requesting cancellation
-// while the run is queued skips it entirely (the future throws
-// RunCancelled); mid-run it is cooperative — the work polls
-// RunContext::should_stop() (e.g. the detailed-route iteration loop) and
-// returns early, which releases the license and journals the run as
-// Cancelled while still delivering the partial result through the future.
+// One submission path: submit(label, seed, fn, SubmitOptions, memo).
 //
-// Deadlines: a run past its Task::deadline is journaled TimedOut. Plain
-// submit() relies on the body polling should_stop(); submit_resilient()
-// additionally arms a watchdog on the executor's timer thread that
-// requests cancellation at the deadline, so even a body that only polls
-// its CancelToken is reeled in, its license released, and the caller's
-// future fails fast with resil::RunTimedOut.
+// Cancellation: every run carries the caller's CancelToken
+// (SubmitOptions::cancel). Requesting cancellation while the run is queued
+// skips it entirely (the future throws RunCancelled); mid-run it is
+// cooperative — the work polls RunContext::should_stop() (e.g. the
+// detailed-route iteration loop) and returns early, which releases the
+// license and journals the run as Cancelled while still delivering the
+// partial result through the future.
+//
+// Resilience: with any SubmitOptions::resilience knob set, the run is a
+// logical run of retried and hedged attempts. Its deadline arms a watchdog
+// on the executor's timer thread that cancels every attempt — even a body
+// that only polls its CancelToken is reeled in, journaled TimedOut and its
+// license released — and fails the caller's future with
+// resil::RunTimedOut. With every knob off the run is one plain attempt.
 
 #include <algorithm>
 #include <chrono>
@@ -76,6 +79,17 @@ struct ExecOptions {
 /// std::thread::hardware_concurrency(), else 1.
 std::size_t default_thread_count();
 
+/// Per-run settings of RunExecutor::submit.
+struct SubmitOptions {
+  /// The caller's token for the logical run.
+  CancelToken cancel{};
+  /// Retry, hedging and deadline; all off by default.
+  resil::ResilOptions resilience{};
+};
+
+/// The default `memo` of RunExecutor::submit: no memoization.
+struct NoMemo {};
+
 class RunExecutor {
  public:
   explicit RunExecutor(ExecOptions opt = {});
@@ -95,16 +109,270 @@ class RunExecutor {
   RunJournal& journal() { return journal_; }
   const RunJournal& journal() const { return journal_; }
 
-  /// Submit one run. `fn` is invoked as fn(RunContext&) on a worker thread
-  /// once a license is available; the returned future carries its result.
-  /// `on_abort`, if set, fires when the run is skipped without ever invoking
-  /// `fn` (cancelled or past its deadline while still queued) with the
-  /// terminal state and the exception the future will deliver — submit_memo
-  /// uses it to settle in-flight joiners that never see the body run.
+  /// Submit one logical run; the returned future carries its result. `fn`
+  /// is invoked as fn(RunContext&) on a worker thread once a license is
+  /// available.
+  ///
+  /// `opt.resilience`: each attempt's seed derives from (seed, attempt) via
+  /// resil::retry_seed — RunContext::seed is the attempt seed, attempt 0
+  /// keeps `seed`. A failed attempt retries after the policy's backoff; a
+  /// hedge twin of the newest attempt launches after the hedge delay
+  /// (default: journal wall p95) with the *same* seed and the first
+  /// completion wins. The deadline fails the future with resil::RunTimedOut
+  /// and cancelling `opt.cancel` fails it with RunCancelled, cancelling every
+  /// attempt either way. Each attempt consults the fault injector at site
+  /// "exec.license". The result type must then be copy-constructible.
+  ///
+  /// `memo`, unless NoMemo or an empty std::optional, is a copyable cache
+  /// handle bound to this run — std::uint64_t fingerprint(),
+  /// std::optional<R> lookup(std::uint64_t) and
+  /// void insert(std::uint64_t, const R&), e.g. store::KeyedRunCache — that
+  /// is copied into the pooled task. It is consulted first: a hit resolves
+  /// immediately, journaled Completed with note "cache_hit" and no license;
+  /// a miss dispatches and memoizes the result unless the run was cancelled
+  /// mid-run (partial results must not poison the cache). A fingerprint
+  /// already in flight is joined instead of run twice (exec.inflight_joins):
+  /// the join is a promise-backed future, settled and journaled (note
+  /// "inflight_join") with the run's terminal state, and the first
+  /// submission's token and policy stay in charge. One fingerprint must keep
+  /// one result type (else std::logic_error). A resilient run that
+  /// exhausted its retries or timed out keeps its entry, so later joiners
+  /// share the error; a cancelled one releases the fingerprint for a re-run.
+  template <typename F, typename Memo = NoMemo>
+  auto submit(std::string label, std::uint64_t seed, F fn, SubmitOptions opt = {},
+              Memo memo = {}) -> std::future<std::invoke_result_t<F&, RunContext&>> {
+    if constexpr (!std::is_same_v<Memo, NoMemo>) {
+      if (auto* cache = memo_handle(memo)) {
+        return memoized(std::move(label), seed, std::move(fn), std::move(opt),
+                        std::move(*cache));
+      }
+    }
+    return dispatch(std::move(label), seed, std::move(fn), std::move(opt), {});
+  }
+
+  /// Fan out n runs whose seeds derive from (base_seed, index) and collect
+  /// the results in index order (a barrier). Result i is independent of
+  /// scheduling, so map() is deterministic at any thread count.
   template <typename F>
-  auto submit(std::string label, std::uint64_t seed, F fn, CancelToken cancel = {},
-              std::chrono::steady_clock::time_point deadline = {},
-              std::function<void(RunState, std::exception_ptr)> on_abort = {})
+  auto map(const std::string& label, std::uint64_t base_seed, std::size_t n, F fn)
+      -> std::vector<std::invoke_result_t<F&, std::size_t, RunContext&>> {
+    using R = std::invoke_result_t<F&, std::size_t, RunContext&>;
+    std::vector<std::future<R>> futures;
+    futures.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      futures.push_back(submit(label + "#" + std::to_string(i), derive_run_seed(base_seed, i),
+                               [fn, i](RunContext& ctx) { return fn(i, ctx); }));
+    }
+    std::vector<R> results;
+    results.reserve(n);
+    for (auto& f : futures) results.push_back(f.get());
+    return results;
+  }
+
+  /// Run `fn` on the executor's timer thread at (or shortly after) `tp`.
+  /// Used by the resilience layer for deadline watchdogs, hedge launches
+  /// and backoff-delayed retries; dropped if the executor is stopping.
+  void schedule_at(std::chrono::steady_clock::time_point tp, std::function<void()> fn);
+
+ private:
+  /// Final state plus the journal note (error text for Failed runs).
+  struct Outcome {
+    RunState state = RunState::Completed;
+    std::string note;
+  };
+
+  struct Task {
+    std::uint64_t run_id = 0;
+    std::string label;  ///< for the run's trace span
+    std::uint64_t seed = 0;
+    CancelToken cancel;
+    std::chrono::steady_clock::time_point deadline{};
+    /// Invoked with run=true to execute (returns the final outcome) or
+    /// run=false to park the cancelled/timed-out-before-start exception.
+    std::function<Outcome(RunContext&, bool run)> body;
+    /// Resolves the caller's future from the parked result; called after
+    /// the journal records the terminal state.
+    std::function<void()> deliver;
+  };
+
+  /// One in-flight memoized run. Joiners park a promise here; whichever
+  /// settle path resolves the run first (worker success, failure, skip
+  /// abort, resilient on_fail) fulfils every parked promise with the
+  /// terminal value/error and journals each joiner's row with the run's
+  /// real terminal state, note "inflight_join". Settling is idempotent —
+  /// the first settle wins, later calls are no-ops — and after `done` the
+  /// value/error/state fields are immutable, so post-settle joins read them
+  /// without re-locking hazards.
+  template <typename R>
+  struct MemoEntry {
+    struct Waiter {
+      std::promise<R> promise;
+      std::uint64_t run_id = 0;
+    };
+
+    std::mutex mu;
+    bool done = false;
+    RunState state = RunState::Completed;
+    std::optional<R> value;
+    std::exception_ptr error;
+    std::vector<Waiter> waiters;
+
+    /// Settle with the run's value, or with `e` when it ended without one.
+    void settle(RunState s, std::optional<R> v, std::exception_ptr e, RunJournal& journal) {
+      std::vector<Waiter> pending;
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        if (done) return;
+        done = true;
+        state = s;
+        value = std::move(v);
+        error = e;
+        pending.swap(waiters);
+      }
+      for (auto& w : pending) {
+        journal.on_finish(w.run_id, s, "inflight_join");
+        if (error) w.promise.set_exception(error);
+        else w.promise.set_value(*value);
+      }
+    }
+
+    /// Promise-backed join: ready immediately when already settled, else
+    /// parked until a settle path fires.
+    std::future<R> join(std::uint64_t run_id, RunJournal& journal) {
+      std::unique_lock<std::mutex> lk(mu);
+      if (done) {
+        lk.unlock();
+        journal.on_finish(run_id, state, "inflight_join");
+        std::promise<R> ready;
+        if (error) ready.set_exception(error);
+        else ready.set_value(*value);
+        return ready.get_future();
+      }
+      Waiter w;
+      w.run_id = run_id;
+      std::future<R> fut = w.promise.get_future();
+      waiters.push_back(std::move(w));
+      return fut;
+    }
+  };
+
+  /// Type-erased MemoEntry<R> plus the R it was erased from, so a
+  /// fingerprint resubmitted with a different result type is detected
+  /// instead of being static-cast into undefined behavior.
+  struct MemoSlot {
+    std::shared_ptr<void> entry;
+    std::type_index type;
+  };
+
+  /// Settle hook of a run that ends without a value: the terminal state and
+  /// the exception the caller's future will deliver.
+  using OnError = std::function<void(RunState, std::exception_ptr)>;
+
+  static std::chrono::steady_clock::duration to_duration(double ms) {
+    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+        std::chrono::duration<double, std::milli>(ms));
+  }
+
+  /// The cache handle inside a `memo` argument, or null for an empty
+  /// std::optional.
+  template <typename M>
+  static M* memo_handle(M& memo) {
+    return &memo;
+  }
+  template <typename M>
+  static M* memo_handle(std::optional<M>& memo) {
+    return memo ? &*memo : nullptr;
+  }
+
+  /// The mechanism behind submit(): one plain attempt, or the resilient
+  /// launcher when any resilience knob is set. The launcher takes `fn` type-
+  /// erased, so it is compiled once per result type, not once per caller.
+  template <typename F>
+  auto dispatch(std::string label, std::uint64_t seed, F fn, SubmitOptions opt,
+                OnError on_error) -> std::future<std::invoke_result_t<F&, RunContext&>> {
+    using R = std::invoke_result_t<F&, RunContext&>;
+    if (opt.resilience.enabled()) {
+      return launch_resilient<R>(std::move(label), seed, std::move(fn), opt.resilience,
+                                 std::move(opt.cancel), std::move(on_error));
+    }
+    return run_once(std::move(label), seed, std::move(fn), std::move(opt.cancel), {},
+                    std::move(on_error));
+  }
+
+  /// submit() with a cache handle: cache hit, in-flight join, or a
+  /// dispatched run that memoizes its result and settles joiners.
+  template <typename F, typename Cache>
+  auto memoized(std::string label, std::uint64_t seed, F fn, SubmitOptions opt, Cache cache)
+      -> std::future<std::invoke_result_t<F&, RunContext&>> {
+    using R = std::invoke_result_t<F&, RunContext&>;
+    const std::uint64_t fingerprint = cache.fingerprint();
+    if (auto hit = cache.lookup(fingerprint)) {
+      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
+      journal_.on_finish(run_id, RunState::Completed, "cache_hit");
+      obs::Registry::global().counter("exec.cache_hits").add();
+      std::promise<R> ready;
+      ready.set_value(std::move(*hit));
+      return ready.get_future();
+    }
+    std::unique_lock<std::mutex> memo_lock(memo_mu_);
+    if (auto it = memo_inflight_.find(fingerprint); it != memo_inflight_.end()) {
+      if (it->second.type != std::type_index(typeid(R))) {
+        throw std::logic_error("submit: fingerprint resubmitted with a different result type");
+      }
+      auto entry = std::static_pointer_cast<MemoEntry<R>>(it->second.entry);
+      memo_lock.unlock();
+      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
+      obs::Registry::global().counter("exec.inflight_joins").add();
+      return entry->join(run_id, journal_);
+    }
+    auto entry = std::make_shared<MemoEntry<R>>();
+    memo_inflight_.emplace(fingerprint, MemoSlot{entry, std::type_index(typeid(R))});
+    memo_lock.unlock();
+
+    const bool single_shot = !opt.resilience.enabled();
+    auto wrapped = [this, cache = std::move(cache), fingerprint, fn = std::move(fn),
+                    single_shot, entry](RunContext& ctx) mutable -> R {
+      try {
+        R result = fn(ctx);
+        if (!ctx.should_stop()) {
+          cache.insert(fingerprint, result);
+          entry->settle(RunState::Completed, result, nullptr, this->journal_);
+          this->memo_erase(fingerprint);
+        } else if (single_shot) {
+          // Partial result: joiners receive it (same as the submitter) but
+          // the fingerprint is released so a later submission re-runs.
+          entry->settle(RunState::Cancelled, result, nullptr, this->journal_);
+          this->memo_erase(fingerprint);
+        }
+        return result;
+      } catch (...) {
+        if (single_shot) {
+          entry->settle(RunState::Failed, std::nullopt, std::current_exception(),
+                        this->journal_);
+          this->memo_erase(fingerprint);
+        }
+        throw;
+      }
+    };
+    // A run that ends without a value — skipped while queued, or a resilient
+    // run out of retries, past its deadline or cancelled by the caller —
+    // settles joiners with the same exception. Only cancellation frees the
+    // fingerprint: Failed/TimedOut entries stay so later joiners share the
+    // error instead of re-crashing.
+    auto on_error = [this, entry, fingerprint](RunState s, std::exception_ptr e) {
+      entry->settle(s, std::nullopt, e, this->journal_);
+      if (s == RunState::Cancelled) this->memo_erase(fingerprint);
+    };
+    return dispatch(std::move(label), seed, std::move(wrapped), std::move(opt),
+                    std::move(on_error));
+  }
+
+  /// One plain attempt. Only a resilient run's attempts carry a `deadline`.
+  /// `on_abort` fires if the run is skipped while queued, with the state and
+  /// exception its future will deliver.
+  template <typename F>
+  auto run_once(std::string label, std::uint64_t seed, F fn, CancelToken cancel,
+                std::chrono::steady_clock::time_point deadline, OnError on_abort)
       -> std::future<std::invoke_result_t<F&, RunContext&>> {
     using R = std::invoke_result_t<F&, RunContext&>;
     static_assert(!std::is_void_v<R>, "pooled runs must return a result");
@@ -157,41 +425,15 @@ class RunExecutor {
     return fut;
   }
 
-  /// Submit one *logical* run with retry, hedging and deadline enforcement
-  /// (resil::ResilOptions). Each attempt is a normal pooled run whose seed
-  /// derives from (seed, attempt) via resil::retry_seed; a failed attempt
-  /// journals Failed and, while attempts remain, schedules a retry (after
-  /// the policy's backoff, on the timer thread). With hedging enabled a
-  /// duplicate of the newest attempt launches after the hedge delay
-  /// (default: journal wall p95) carrying the *same* seed — first
-  /// completion wins, every other in-flight attempt is cooperatively
-  /// cancelled. A deadline arms a watchdog that cancels all attempts and
-  /// fails the returned future with resil::RunTimedOut; the overdue run is
-  /// journaled TimedOut by the worker when it yields, releasing its
-  /// license. The result type must be copy-constructible. The attempt body
-  /// also consults the fault injector at site "exec.license" so injected
-  /// license drops exercise the retry path.
-  ///
-  /// `cancel`, when provided, is the *caller's* token for the logical run:
-  /// requesting cancellation on it cancels every in-flight attempt, stops
-  /// further retries/hedges, and fails the returned future with
-  /// RunCancelled. CancelToken is a plain flag with no callback hook, so
-  /// the token is polled on the timer thread (~5 ms cadence) until the run
-  /// settles.
-  ///
-  /// `on_fail`, if set, fires exactly once if the logical run settles with
-  /// an exception — (Failed, exhausted retries' error), (TimedOut,
-  /// RunTimedOut) or (Cancelled, RunCancelled) — *before* the returned
-  /// future observes it, so any bookkeeping it does (submit_memo settles
-  /// in-flight joiners and releases cancelled fingerprints) is consistent
-  /// by the time the caller unblocks.
-  template <typename F>
-  auto submit_resilient(std::string label, std::uint64_t seed, F fn,
-                        resil::ResilOptions opt = {},
-                        std::optional<CancelToken> cancel = std::nullopt,
-                        std::function<void(RunState, std::exception_ptr)> on_fail = {})
-      -> std::future<std::invoke_result_t<F&, RunContext&>> {
-    using R = std::invoke_result_t<F&, RunContext&>;
+  /// The resilient launcher (see submit()). The caller's token has no
+  /// callback hook, so it is polled on the timer thread (~5 ms cadence)
+  /// until the run settles. `on_fail` fires once, before the future
+  /// observes it, if the run settles with an exception: (Failed, the last
+  /// error), (TimedOut, RunTimedOut) or (Cancelled, RunCancelled).
+  template <typename R>
+  std::future<R> launch_resilient(std::string label, std::uint64_t seed,
+                                  std::function<R(RunContext&)> fn, resil::ResilOptions opt,
+                                  CancelToken cancel, OnError on_fail) {
     static_assert(std::is_copy_constructible_v<R>,
                   "resilient runs copy the winning result into the promise");
     using Clock = std::chrono::steady_clock;
@@ -210,7 +452,7 @@ class RunExecutor {
       std::uint64_t base_seed = 0;
       Clock::time_point deadline{};
       /// Invoked once, after the promise settles with an exception.
-      std::function<void(RunState, std::exception_ptr)> on_fail;
+      OnError on_fail;
     };
     auto st = std::make_shared<State>();
     st->opt = opt;
@@ -315,8 +557,8 @@ class RunExecutor {
           throw;  // journal this attempt as Failed
         }
       };
-      this->submit(std::move(attempt_label), attempt_seed, std::move(body), token,
-                   st->deadline);
+      this->run_once(std::move(attempt_label), attempt_seed, std::move(body), token,
+                     st->deadline, {});
     };
 
     (*launch)(0, /*is_hedge=*/false);
@@ -335,312 +577,45 @@ class RunExecutor {
         (*launch)(attempt, /*is_hedge=*/true);
       });
     }
+    // Deadline expiry and caller cancellation settle the run from the timer
+    // thread (unless an attempt already did) and cancel every live attempt.
+    const auto abort_run = [st](RunState state, std::exception_ptr err) {
+      std::vector<CancelToken> live;
+      {
+        std::lock_guard<std::mutex> lk(st->mu);
+        if (st->settled) return;
+        st->settled = true;
+        live = st->tokens;
+      }
+      for (auto& t : live) t.request_cancel();
+      if (st->on_fail) st->on_fail(state, err);
+      st->promise.set_exception(err);
+    };
     if (opt.deadline_ms > 0.0) {
-      schedule_at(st->deadline, [st] {
-        std::vector<CancelToken> live;
-        bool expired = false;
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          if (!st->settled) {
-            st->settled = true;
-            expired = true;
-            live = st->tokens;
-          }
-        }
-        if (expired) {
-          const auto err = std::make_exception_ptr(resil::RunTimedOut{});
-          for (auto& t : live) t.request_cancel();
-          if (st->on_fail) st->on_fail(RunState::TimedOut, err);
-          st->promise.set_exception(err);
-        }
+      schedule_at(st->deadline, [abort_run] {
+        abort_run(RunState::TimedOut, std::make_exception_ptr(resil::RunTimedOut{}));
       });
     }
-    if (cancel) {
-      // The caller's token has no callback hook, so a lightweight poll on
-      // the timer thread watches it: on cancellation every live attempt is
-      // cancelled, the promise fails with RunCancelled, and polling stops.
-      // The chain also stops (and is released) once the run settles any
-      // other way.
-      const CancelToken parent = *cancel;
-      auto poll = std::make_shared<std::function<void()>>();
-      *poll = [this, st, parent, wpoll = std::weak_ptr<std::function<void()>>(poll)] {
-        auto self = wpoll.lock();
-        if (!self) return;
-        std::vector<CancelToken> live;
-        bool fire = false;
-        {
-          std::lock_guard<std::mutex> lk(st->mu);
-          if (st->settled) return;
-          if (parent.cancelled()) {
-            st->settled = true;
-            fire = true;
-            live = st->tokens;
-          }
-        }
-        if (fire) {
-          const auto err = std::make_exception_ptr(RunCancelled{});
-          for (auto& t : live) t.request_cancel();
-          if (st->on_fail) st->on_fail(RunState::Cancelled, err);
-          st->promise.set_exception(err);
-          return;
-        }
-        this->schedule_at(Clock::now() + to_duration(5.0), [self] { (*self)(); });
-      };
-      (*poll)();
-    }
+    // The caller's token has no callback hook, so a lightweight poll on
+    // the timer thread watches it. Polling stops (and the chain is
+    // released) once the run settles.
+    auto poll = std::make_shared<std::function<void()>>();
+    *poll = [this, st, cancel, abort_run,
+             wpoll = std::weak_ptr<std::function<void()>>(poll)] {
+      auto self = wpoll.lock();
+      if (!self) return;
+      if (cancel.cancelled()) {
+        abort_run(RunState::Cancelled, std::make_exception_ptr(RunCancelled{}));
+        return;
+      }
+      {
+        std::lock_guard<std::mutex> lk(st->mu);
+        if (st->settled) return;
+      }
+      this->schedule_at(Clock::now() + to_duration(5.0), [self] { (*self)(); });
+    };
+    (*poll)();
     return fut;
-  }
-
-  /// Cache-aware dispatch: consult a content-addressed result cache before
-  /// queueing. On a hit the future resolves immediately with the memoized
-  /// result — no license, no worker — and the journal records the run as
-  /// Completed with note "cache_hit" (zero wall time). On a miss the run
-  /// dispatches normally (with `deadline`, and under `resilience` via
-  /// submit_resilient when any of its knobs are set) and, unless it was
-  /// cancelled mid-run (partial results must not poison the cache),
-  /// memoizes its result on completion.
-  ///
-  /// Duplicate fingerprints submitted while the first is still in flight
-  /// join the first run (counter exec.inflight_joins) instead of burning a
-  /// license on a duplicate execution. A join returns a promise-backed
-  /// future (wait_for/wait_until behave normally) settled when the
-  /// underlying run resolves, and is journaled at that point with the run's
-  /// *terminal* state — Completed, Failed, TimedOut or Cancelled — under
-  /// note "inflight_join". The caller's token and the first run's
-  /// resilience policy both stay live: cancelling the first submission's
-  /// token settles joiners too. All submissions of one fingerprint must
-  /// share a result type (enforced: a mismatch throws std::logic_error). A
-  /// fingerprint whose resilient run exhausted its retries or timed out
-  /// keeps its settled entry, so later joiners observe the same error;
-  /// cancelled runs release the fingerprint for a later re-run.
-  ///
-  /// `Cache` is any copyable handle with
-  ///   std::optional<R> lookup(std::uint64_t) and
-  ///   void insert(std::uint64_t, const R&)
-  /// (e.g. store::KeyedRunCache). It is copied into the pooled task, so by-
-  /// value validity must outlast the run. The handle may itself be tiered:
-  /// wrapping a store::RemoteRunCache consults the fleet-wide CacheServer
-  /// before the local store, and its degradation ladder (remote → local →
-  /// in-memory) means a dead or partitioned server turns into ordinary
-  /// misses here — executions are re-done, results never change.
-  template <typename Cache, typename F>
-  auto submit_memo(std::string label, std::uint64_t seed, std::uint64_t fingerprint,
-                   Cache cache, F fn, CancelToken cancel = {},
-                   std::chrono::steady_clock::time_point deadline = {},
-                   resil::ResilOptions resilience = {})
-      -> std::future<std::invoke_result_t<F&, RunContext&>> {
-    using R = std::invoke_result_t<F&, RunContext&>;
-    if (auto hit = cache.lookup(fingerprint)) {
-      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
-      journal_.on_finish(run_id, RunState::Completed, "cache_hit");
-      obs::Registry::global().counter("exec.cache_hits").add();
-      std::promise<R> ready;
-      ready.set_value(std::move(*hit));
-      return ready.get_future();
-    }
-    std::unique_lock<std::mutex> memo_lock(memo_mu_);
-    if (auto it = memo_inflight_.find(fingerprint); it != memo_inflight_.end()) {
-      if (it->second.type != std::type_index(typeid(R))) {
-        throw std::logic_error(
-            "submit_memo: fingerprint resubmitted with a different result type");
-      }
-      auto entry = std::static_pointer_cast<MemoEntry<R>>(it->second.entry);
-      memo_lock.unlock();
-      const std::uint64_t run_id = journal_.on_enqueue(std::move(label), seed);
-      obs::Registry::global().counter("exec.inflight_joins").add();
-      return entry->join(run_id, journal_);
-    }
-    auto entry = std::make_shared<MemoEntry<R>>();
-    memo_inflight_.emplace(fingerprint,
-                           MemoSlot{entry, std::type_index(typeid(R))});
-    memo_lock.unlock();
-
-    const bool single_shot = !resilience.enabled();
-    auto wrapped = [this, cache = std::move(cache), fingerprint, fn = std::move(fn),
-                    single_shot, entry](RunContext& ctx) mutable -> R {
-      try {
-        R result = fn(ctx);
-        if (!ctx.should_stop()) {
-          cache.insert(fingerprint, result);
-          entry->settle_value(RunState::Completed, result, this->journal_);
-          this->memo_erase(fingerprint);
-        } else if (single_shot) {
-          // Partial result: joiners receive it (same as the submitter) but
-          // the fingerprint is released so a later submission re-runs.
-          entry->settle_value(
-              ctx.past_deadline() ? RunState::TimedOut : RunState::Cancelled, result,
-              this->journal_);
-          this->memo_erase(fingerprint);
-        }
-        return result;
-      } catch (...) {
-        if (single_shot) {
-          entry->settle_error(RunState::Failed, std::current_exception(),
-                              this->journal_);
-          this->memo_erase(fingerprint);
-        }
-        throw;
-      }
-    };
-    if (!single_shot) {
-      if (deadline != std::chrono::steady_clock::time_point{} &&
-          resilience.deadline_ms <= 0.0) {
-        const double remaining = std::chrono::duration<double, std::milli>(
-                                     deadline - std::chrono::steady_clock::now())
-                                     .count();
-        resilience.deadline_ms = remaining > 0.0 ? remaining : 0.001;
-      }
-      // Terminal resilient failures (exhausted retries, deadline expiry,
-      // caller cancellation) settle joiners with the same exception. Only
-      // cancellation frees the fingerprint — Failed/TimedOut entries stay
-      // so later joiners share the error instead of re-crashing.
-      auto on_fail = [this, entry, fingerprint](RunState s, std::exception_ptr e) {
-        entry->settle_error(s, e, this->journal_);
-        if (s == RunState::Cancelled) this->memo_erase(fingerprint);
-      };
-      return submit_resilient(std::move(label), seed, std::move(wrapped), resilience,
-                              cancel, std::move(on_fail));
-    }
-    // Skipped-while-queued runs (cancel or deadline) never invoke `wrapped`,
-    // so the abort hook settles joiners and releases the fingerprint.
-    auto on_abort = [this, entry, fingerprint](RunState s, std::exception_ptr e) {
-      entry->settle_error(s, e, this->journal_);
-      this->memo_erase(fingerprint);
-    };
-    return submit(std::move(label), seed, std::move(wrapped), std::move(cancel), deadline,
-                  std::move(on_abort));
-  }
-
-  /// Fan out n runs whose seeds derive from (base_seed, index) and collect
-  /// the results in index order (a barrier). Result i is independent of
-  /// scheduling, so map() is deterministic at any thread count.
-  template <typename F>
-  auto map(const std::string& label, std::uint64_t base_seed, std::size_t n, F fn)
-      -> std::vector<std::invoke_result_t<F&, std::size_t, RunContext&>> {
-    using R = std::invoke_result_t<F&, std::size_t, RunContext&>;
-    std::vector<std::future<R>> futures;
-    futures.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      futures.push_back(submit(label + "#" + std::to_string(i), derive_run_seed(base_seed, i),
-                               [fn, i](RunContext& ctx) { return fn(i, ctx); }));
-    }
-    std::vector<R> results;
-    results.reserve(n);
-    for (auto& f : futures) results.push_back(f.get());
-    return results;
-  }
-
-  /// Run `fn` on the executor's timer thread at (or shortly after) `tp`.
-  /// Used by the resilience layer for deadline watchdogs, hedge launches
-  /// and backoff-delayed retries; dropped if the executor is stopping.
-  void schedule_at(std::chrono::steady_clock::time_point tp, std::function<void()> fn);
-
- private:
-  /// Final state plus the journal note (error text for Failed runs).
-  struct Outcome {
-    RunState state = RunState::Completed;
-    std::string note;
-  };
-
-  struct Task {
-    std::uint64_t run_id = 0;
-    std::string label;  ///< for the run's trace span
-    std::uint64_t seed = 0;
-    CancelToken cancel;
-    std::chrono::steady_clock::time_point deadline{};
-    /// Invoked with run=true to execute (returns the final outcome) or
-    /// run=false to park the cancelled/timed-out-before-start exception.
-    std::function<Outcome(RunContext&, bool run)> body;
-    /// Resolves the caller's future from the parked result; called after
-    /// the journal records the terminal state.
-    std::function<void()> deliver;
-  };
-
-  /// One in-flight memoized run. Joiners park a promise here; whichever
-  /// settle path resolves the run first (worker success, failure, skip
-  /// abort, resilient on_fail) fulfils every parked promise with the
-  /// terminal value/error and journals each joiner's row with the run's
-  /// real terminal state, note "inflight_join". Settling is idempotent —
-  /// the first settle wins, later calls are no-ops — and after `done` the
-  /// value/error/state fields are immutable, so post-settle joins read them
-  /// without re-locking hazards.
-  template <typename R>
-  struct MemoEntry {
-    struct Waiter {
-      std::promise<R> promise;
-      std::uint64_t run_id = 0;
-    };
-
-    std::mutex mu;
-    bool done = false;
-    RunState state = RunState::Completed;
-    std::optional<R> value;
-    std::exception_ptr error;
-    std::vector<Waiter> waiters;
-
-    void settle_value(RunState s, const R& v, RunJournal& journal) {
-      std::vector<Waiter> pending;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (done) return;
-        done = true;
-        state = s;
-        value = v;
-        pending.swap(waiters);
-      }
-      for (auto& w : pending) {
-        journal.on_finish(w.run_id, s, "inflight_join");
-        w.promise.set_value(*value);
-      }
-    }
-
-    void settle_error(RunState s, std::exception_ptr e, RunJournal& journal) {
-      std::vector<Waiter> pending;
-      {
-        std::lock_guard<std::mutex> lk(mu);
-        if (done) return;
-        done = true;
-        state = s;
-        error = e;
-        pending.swap(waiters);
-      }
-      for (auto& w : pending) {
-        journal.on_finish(w.run_id, s, "inflight_join");
-        w.promise.set_exception(error);
-      }
-    }
-
-    /// Promise-backed join: ready immediately when already settled, else
-    /// parked until a settle path fires.
-    std::future<R> join(std::uint64_t run_id, RunJournal& journal) {
-      std::unique_lock<std::mutex> lk(mu);
-      if (done) {
-        lk.unlock();
-        journal.on_finish(run_id, state, "inflight_join");
-        std::promise<R> ready;
-        if (error) ready.set_exception(error);
-        else ready.set_value(*value);
-        return ready.get_future();
-      }
-      Waiter w;
-      w.run_id = run_id;
-      std::future<R> fut = w.promise.get_future();
-      waiters.push_back(std::move(w));
-      return fut;
-    }
-  };
-
-  /// Type-erased MemoEntry<R> plus the R it was erased from, so a
-  /// fingerprint resubmitted with a different result type is detected
-  /// instead of being static-cast into undefined behavior.
-  struct MemoSlot {
-    std::shared_ptr<void> entry;
-    std::type_index type;
-  };
-
-  static std::chrono::steady_clock::duration to_duration(double ms) {
-    return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::milli>(ms));
   }
 
   void enqueue(Task task);

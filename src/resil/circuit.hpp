@@ -14,6 +14,7 @@
 // sizes and seed indices stay schedule-independent.
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace maestro::resil {
@@ -25,6 +26,11 @@ class CircuitBreaker {
     int failure_threshold = 2;
     /// Rounds the arm stays open once tripped.
     int cooldown_rounds = 3;
+  };
+
+  struct ArmState {
+    int consecutive_failures = 0;
+    int cooldown_left = 0;
   };
 
   explicit CircuitBreaker(std::size_t arms) : opt_{}, arms_(arms) {}
@@ -44,12 +50,12 @@ class CircuitBreaker {
   /// is open. Deterministic, so redirected pulls replay exactly.
   std::size_t nearest_closed(std::size_t arm) const;
 
- private:
-  struct ArmState {
-    int consecutive_failures = 0;
-    int cooldown_left = 0;
-  };
+  /// Per-arm state, for checkpointing a campaign; restore() takes it back
+  /// (one entry per arm).
+  const std::vector<ArmState>& arm_states() const { return arms_; }
+  void restore(std::vector<ArmState> arms) { arms_ = std::move(arms); }
 
+ private:
   Options opt_;
   std::vector<ArmState> arms_;
 };

@@ -48,7 +48,9 @@ struct HedgePolicy {
   double delay_ms = -1.0;
 };
 
-/// Everything submit_resilient needs to know about one logical run.
+/// Everything the executor's resilient launcher needs to know about one
+/// logical run (exec::SubmitOptions::resilience). Every knob off (the
+/// default) means one plain attempt.
 struct ResilOptions {
   RetryPolicy retry;
   HedgePolicy hedge;

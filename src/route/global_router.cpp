@@ -160,6 +160,7 @@ void search_many(const GridGraph& g, const NetPlan& plan, const std::vector<std:
       out[k] = arena_maze_route(g, arena, plan.seg_from[i], plan.seg_to[i],
                                 opt.present_cost_weight, opt.history_cost_weight);
     }
+    arena.flush_expansions();  // nothing stranded on this thread past the chunk
   };
   if (opt.executor == nullptr || idxs.size() <= grain) {
     search_range(0, idxs.size());
@@ -479,7 +480,10 @@ RouteResult global_route_incremental(const place::Placement& pl, netlist::Design
 std::vector<std::size_t> maze_route_segment(const GridGraph& g, const GCell& from,
                                             const GCell& to, double present_weight,
                                             double history_weight) {
-  return arena_maze_route(g, thread_arena(), from, to, present_weight, history_weight);
+  MazeArena& arena = thread_arena();
+  auto path = arena_maze_route(g, arena, from, to, present_weight, history_weight);
+  arena.flush_expansions();
+  return path;
 }
 
 }  // namespace maestro::route

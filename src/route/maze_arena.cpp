@@ -35,6 +35,14 @@ void MazeArena::prepare(std::size_t nodes) {
   heap_.clear();
 }
 
+void MazeArena::flush_expansions() {
+  if (pending_expansions_ == 0) return;
+  static obs::Counter& expansion_counter =
+      obs::Registry::global().counter("route.maze_expansions");
+  expansion_counter.add(pending_expansions_);
+  pending_expansions_ = 0;
+}
+
 MazeArena& thread_arena() {
   thread_local MazeArena arena;
   return arena;
@@ -123,14 +131,8 @@ std::vector<std::size_t> arena_maze_route(const GridGraph& g, MazeArena& a, cons
   }
   // The expansion counter is a single process-global atomic; bumping it per
   // search from 8 workers turns a metrics read into cacheline ping-pong, so
-  // each arena batches locally and flushes in coarse chunks.
+  // each arena batches locally until its caller flushes.
   a.pending_expansions_ += expansions;
-  if (a.pending_expansions_ >= MazeArena::kExpansionFlush) {
-    static obs::Counter& expansion_counter =
-        obs::Registry::global().counter("route.maze_expansions");
-    expansion_counter.add(a.pending_expansions_);
-    a.pending_expansions_ = 0;
-  }
 
   if (a.stamp_[t] != epoch) return path;  // unreachable (shouldn't happen)
   for (std::uint32_t v = t; v != s; v = a.prev_node_[v]) {

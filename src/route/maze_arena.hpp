@@ -52,11 +52,12 @@ class MazeArena {
   /// resizing value-initializes new stamps so stale reads are impossible.
   void prepare(std::size_t nodes);
 
-  /// Expansions are batched per-arena and flushed to the global
-  /// `route.maze_expansions` counter once this many accumulate, so parallel
-  /// workers don't ping-pong one shared cacheline on every search. The
-  /// counter may therefore lag reality by < kExpansionFlush per live arena.
-  static constexpr std::uint64_t kExpansionFlush = 1 << 14;
+  /// Expansions are batched per-arena, so parallel workers don't ping-pong
+  /// one shared cacheline on every search; this adds the pending count to
+  /// the global `route.maze_expansions` counter. Callers flush once per
+  /// batch of searches (a router chunk, a single reroute), so the counter is
+  /// exact whenever no search is running, at any thread count.
+  void flush_expansions();
 
   std::size_t size() const { return dist_.size(); }
   std::uint64_t epoch() const { return epoch_; }

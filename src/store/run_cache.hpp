@@ -7,7 +7,7 @@
 // determines its result. The cache is the in-memory index of every StoredRun
 // in the backing store: lookups are O(1), inserts append to the store's WAL,
 // and a second campaign against the same MAESTRO_STORE answers duplicate
-// runs without dispatching them (exec::RunExecutor::submit_memo consults the
+// runs without dispatching them (exec::RunExecutor::submit consults the
 // cache before queueing).
 //
 // FlowCache is the seam the schedulers program against: RunCache is the
@@ -68,9 +68,10 @@ class RunCache : public FlowCache {
   std::unordered_map<std::uint64_t, flow::FlowResult> index_;
 };
 
-/// A cheap copyable handle binding one run's key to a cache — the shape
-/// RunExecutor::submit_memo consumes (it is copied into the pooled task, so
-/// it must stay valid by value; the FlowCache itself must outlive the pool).
+/// A cheap copyable handle binding one run's key (and its fingerprint) to a
+/// cache — the `memo` argument RunExecutor::submit consumes. It is copied
+/// into the pooled task, so it must stay valid by value; the FlowCache
+/// itself must outlive the pool.
 class KeyedRunCache {
  public:
   KeyedRunCache(FlowCache& cache, RunKey key)

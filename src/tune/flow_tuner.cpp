@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <unordered_set>
 #include <utility>
 
@@ -484,17 +485,13 @@ TuneResult FlowTuner::run(const TuneOracle& oracle, util::Rng& rng,
       const std::uint64_t seed = trajectory_seed(base_seed, choices[b]);
       flow::FlowTrajectory traj = flow::trajectory_from_indices(dims_, choices[b]);
       const std::string label = "tune#" + std::to_string(r * options_.batch + b);
-      auto body = [&oracle, traj, seed](exec::RunContext&) { return oracle(traj, seed); };
-      if (options_.cache) {
-        store::KeyedRunCache keyed{*options_.cache,
-                                   trajectory_key(options_.design, traj, seed)};
-        distinct.insert(keyed.fingerprint());
-        futures.push_back(
-            pool.submit_memo(label, seed, keyed.fingerprint(), keyed, std::move(body)));
-      } else {
-        distinct.insert(trajectory_key(options_.design, traj, seed).fingerprint());
-        futures.push_back(pool.submit(label, seed, std::move(body)));
-      }
+      store::RunKey key = trajectory_key(options_.design, traj, seed);
+      distinct.insert(key.fingerprint());
+      std::optional<store::KeyedRunCache> memo;
+      if (options_.cache) memo.emplace(*options_.cache, std::move(key));
+      futures.push_back(pool.submit(
+          label, seed, [&oracle, traj, seed](exec::RunContext&) { return oracle(traj, seed); },
+          {}, std::move(memo)));
       trajectories.push_back(std::move(traj));
       seeds.push_back(seed);
     }

@@ -89,8 +89,8 @@ struct TuneOptions {
   std::function<double(const flow::FlowResult&)> objective;
 
   /// Content-addressed memoization: every run dispatches through
-  /// exec::RunExecutor::submit_memo keyed by (design, trajectory knobs,
-  /// seed). Repeat trajectories — within a campaign once FIST freezes
+  /// exec::RunExecutor::submit with a memo keyed by (design, trajectory
+  /// knobs, seed). Repeat trajectories — within a campaign once FIST freezes
   /// dimensions, or across campaigns over the same MAESTRO_STORE — resolve
   /// from the cache or join the in-flight twin instead of running.
   store::FlowCache* cache = nullptr;

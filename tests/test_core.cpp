@@ -32,7 +32,8 @@ const mn::CellLibrary& lib() {
 /// below it succeed with high probability, above it fail. Fast (no real
 /// flow), so MAB campaigns can be tested statistically.
 mc::FlowOracle cliff_oracle(double max_ghz, double noise = 0.03) {
-  return [max_ghz, noise](double target_ghz, std::uint64_t seed) {
+  return [max_ghz, noise](double target_ghz, std::uint64_t seed,
+                          maestro::exec::RunContext&) {
     Rng rng{seed};
     mf::FlowResult res;
     res.completed = true;

@@ -40,7 +40,7 @@ const mn::CellLibrary& lib() {
 /// Same synthetic cliff oracle as the core MAB tests: pure function of
 /// (target_ghz, seed), so it is trivially safe to call from pool workers.
 mc::FlowOracle cliff_oracle(double max_ghz, double noise = 0.03) {
-  return [max_ghz, noise](double target_ghz, std::uint64_t seed) {
+  return [max_ghz, noise](double target_ghz, std::uint64_t seed, mx::RunContext&) {
     Rng rng{seed};
     mf::FlowResult res;
     res.completed = true;
@@ -137,7 +137,7 @@ TEST(RunExecutor, CancelledWhileQueuedSkipsAndThrows) {
     return 1;
   });
   mx::CancelToken token;
-  auto doomed = pool.submit("doomed", 2, [](mx::RunContext&) { return 2; }, token);
+  auto doomed = pool.submit("doomed", 2, [](mx::RunContext&) { return 2; }, {token});
   token.request_cancel();
   release = true;
   EXPECT_EQ(blocker.get(), 1);
@@ -348,7 +348,7 @@ TEST(Cancellation, CancelledFlowAbortsAndReturnsLicense) {
 
   auto doomed = pool.submit(
       "doomed_flow", recipe.seed,
-      [&fm, recipe](mx::RunContext&) { return fm.run(recipe); }, token);
+      [&fm, recipe](mx::RunContext&) { return fm.run(recipe); }, {token});
   // Queued behind the doomed run on the single license: must still execute
   // once cancellation releases the license.
   auto after = pool.submit("after", 1, [](mx::RunContext&) { return 42; });

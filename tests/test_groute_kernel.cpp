@@ -343,9 +343,16 @@ TEST(GlobalRouter, ParallelBitwiseIdenticalToSerial) {
   opt.h_capacity = opt.v_capacity = 8.0;  // congested: Phase B runs batches
   opt.keep_segments = true;
 
+  // Every route's maze expansions reach the counter by the time it returns
+  // (nothing stays batched in a worker's thread-local arena), so each call
+  // adds the same count at any thread count.
+  obs::Counter& expansions = obs::Registry::global().counter("route.maze_expansions");
+  std::uint64_t before = expansions.value();
   mr::GridGraph g_serial;
   const auto serial = mr::global_route(pl, opt, g_serial);
   EXPECT_GT(serial.rounds_used, 1);  // negotiation must actually engage
+  const std::uint64_t serial_expansions = expansions.value() - before;
+  EXPECT_GT(serial_expansions, 0u);
 
   me::RunExecutor pool1{{.threads = 1}};
   me::RunExecutor pool8{{.threads = 8}};
@@ -353,7 +360,9 @@ TEST(GlobalRouter, ParallelBitwiseIdenticalToSerial) {
     mr::RouteOptions popt = opt;
     popt.executor = pool;
     mr::GridGraph g_par;
+    before = expansions.value();
     const auto par = mr::global_route(pl, popt, g_par);
+    EXPECT_EQ(expansions.value() - before, serial_expansions);
     expect_results_identical(serial, par);
     expect_grids_identical(g_serial, g_par);
   }

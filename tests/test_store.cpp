@@ -83,7 +83,7 @@ std::uint64_t counter(const char* name) {
 /// Same synthetic cliff oracle as the exec/core MAB tests: pure function of
 /// (target_ghz, seed).
 mc::FlowOracle cliff_oracle(double max_ghz, double noise = 0.03) {
-  return [max_ghz, noise](double target_ghz, std::uint64_t seed) {
+  return [max_ghz, noise](double target_ghz, std::uint64_t seed, mx::RunContext&) {
     Rng rng{seed};
     mf::FlowResult res;
     res.completed = true;
@@ -668,9 +668,9 @@ TEST(SubmitMemo, SecondSubmitResolvesFromCacheWithoutExecuting) {
   };
 
   const std::uint64_t hits0 = counter("exec.cache_hits");
-  auto first = pool.submit_memo("memo", key.seed, keyed.fingerprint(), keyed, body);
+  auto first = pool.submit("memo", key.seed, body, {}, keyed);
   EXPECT_DOUBLE_EQ(first.get().area_um2, 55.0);
-  auto second = pool.submit_memo("memo", key.seed, keyed.fingerprint(), keyed, body);
+  auto second = pool.submit("memo", key.seed, body, {}, keyed);
   EXPECT_DOUBLE_EQ(second.get().area_um2, 55.0);
 
   EXPECT_EQ(executions.load(), 1);
@@ -698,7 +698,7 @@ TEST(SubmitMemo, CancelledRunDoesNotPoisonTheCache) {
     ctx.cancel.request_cancel();  // a guard killed this run mid-flight
     return sample_result(1.0);    // partial result
   };
-  auto fut = pool.submit_memo("doomed", key.seed, keyed.fingerprint(), keyed, body);
+  auto fut = pool.submit("doomed", key.seed, body, {}, keyed);
   (void)fut.get();
 
   EXPECT_EQ(cache.size(), 0u);

@@ -106,7 +106,8 @@ std::size_t intact_lines(const std::string& dir) {
 }
 
 mc::FlowOracle cliff_oracle(double max_ghz, double noise = 0.03) {
-  return [max_ghz, noise](double target_ghz, std::uint64_t seed) {
+  return [max_ghz, noise](double target_ghz, std::uint64_t seed,
+                          maestro::exec::RunContext&) {
     Rng rng{seed};
     mf::FlowResult res;
     res.completed = true;
